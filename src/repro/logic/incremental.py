@@ -15,14 +15,20 @@ lever the paper's estimate/transform/re-estimate loop hinges on:
   support (:meth:`Circuit.cone_supports`): equal keys imply identical
   settled lane values, hence identical toggle/ones counts,
 - :func:`delta_activity` looks every net up in a process-wide
-  byte-budgeted :class:`ConeCache` (optionally backed by
-  ``repro.store`` entries of kind ``"activity"``), resimulates *only*
-  the dirty region — cache-missing nets, which by key construction
-  are already closed under transitive fanout — via
+  byte-budgeted :class:`ConeCache`, resimulates *only* the dirty
+  region — cache-missing nets, which by key construction are already
+  closed under transitive fanout — via
   :meth:`Circuit.extract_cone`, replaying clean boundary nets from
   cached lanes as pseudo-inputs, and splices the per-net counts into
   an :class:`ActivityReport` **bit-identical** to full resimulation
   (same float summation order, same clock-capacitance accounting),
+- with a disk-backed :mod:`repro.store`, each run that leaves nets
+  missing probes *one* whole-run record of kind ``"activity"`` (keyed
+  by :func:`~repro.store.activity_key` over circuit fingerprint,
+  stimulus fingerprint, engine and batch length) and, on a miss,
+  writes one after assembling the report — counts only, so another
+  process rerunning the same (circuit, stimulus) skips simulation
+  while lanes for boundary replay stay in the process's own cache,
 - :func:`estimate_delta` wraps the base-prime + variant-delta pair;
   :func:`cached_activity` is the zero-overhead probe the
   :class:`~repro.core.estimator.PowerEstimator` uses to engage the
@@ -37,14 +43,13 @@ automatically), otherwise the cone fingerprints themselves are stale.
 
 Engine note: only zero-delay (settled-value) activity can be spliced
 from cached lanes; timed/glitch simulation needs full waveforms on
-boundary nets, so :mod:`repro.logic.fasttimer` instead memoizes whole
+boundary nets, so :mod:`repro.logic.fasttimer` memoizes only whole
 timed runs (:func:`~repro.logic.fasttimer.timed_activity_cached`)
-under the same ``"activity"`` store kind.
+under the same ``"activity"`` store kind and envelope.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -55,22 +60,21 @@ from repro import store as artifact_store
 from repro.backend.core import resolve_engine
 from repro.logic import gates as gatelib
 from repro.logic.fastsim import PackedVectors, input_lane_hashes, \
-    lane_counts, net_words_engine
+    lane_counts, net_words_engine, stimulus_fingerprint
 from repro.logic.netlist import Circuit
 from repro.logic.simulate import ActivityReport, Vector, collect_activity
 
 __all__ = [
     "ConeCache", "ConeRecord", "DeltaStats",
     "get_cone_cache", "set_cone_cache", "clear_cone_cache",
-    "cone_keys", "store_key", "delta_activity", "collect_activity_incremental",
+    "cone_keys", "delta_activity", "collect_activity_incremental",
     "prime", "estimate_delta", "cached_activity", "reports_equal",
 ]
 
 Stimulus = Union[PackedVectors, Sequence[Vector]]
 
 #: In-process cone-cache key: (cone fingerprint hex, stimulus tail
-#: bytes).  Cheap to hash/compare; ``store_key`` folds it to a stable
-#: hex digest for the cross-process artifact store.
+#: bytes).  Cheap to hash/compare; never leaves the process.
 ConeKey = Tuple[str, bytes]
 
 #: Dirty fraction (of non-input nets) above which a plain full
@@ -80,10 +84,6 @@ DELTA_MAX_FRACTION = 0.7
 #: Runs shorter than this are not mirrored to the disk store — the
 #: envelope overhead would exceed the resimulation cost.
 STORE_MIN_CYCLES = 256
-
-#: Lanes longer than this (bits) stay in process; counts alone are
-#: still mirrored, but such entries cannot serve as replay boundaries.
-STORE_MAX_LANE_CYCLES = 1 << 20
 
 ENV_CACHE_BYTES = "REPRO_CONE_CACHE_BYTES"
 DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
@@ -100,30 +100,33 @@ class ConeRecord:
     (ones over all ``n`` cycles, toggles over the ``n - 1``
     boundaries, ``last`` = final-cycle value); ``lane`` is the packed
     settled-value word, kept so the net can be replayed as a
-    pseudo-input on the dirty-region boundary (``None`` when the
-    record came from a counts-only store entry).
+    pseudo-input on the dirty-region boundary.
     """
 
     n: int
     ones: int
     toggles: int
     last: int
-    lane: Optional[int] = None
+    lane: int
 
     def nbytes(self) -> int:
-        return 96 + (0 if self.lane is None else (self.n >> 3))
+        return 96 + (self.n >> 3)
 
 
 @dataclass
 class DeltaStats:
     """How one incremental evaluation was satisfied."""
 
-    source: str            # "cached" | "delta" | "full" | "fallback"
+    #: "cached" (every net from the cone cache), "store" (the whole
+    #: run from a disk-store run record), "delta" (dirty region
+    #: resimulated), "full" (whole circuit resimulated) or
+    #: "fallback" (plain ``collect_activity``).
+    source: str
     total_nets: int = 0
     reused_nets: int = 0   # non-input nets served from cache
     dirty_nets: int = 0    # non-input nets resimulated
     boundary_nets: int = 0
-    store_hits: int = 0
+    store_hits: int = 0    # nets served by a disk-store run record
 
 
 class ConeCache:
@@ -229,12 +232,11 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
     # In-process keys are plain (fingerprint, stimulus-tail) tuples:
     # tuple equality/hash is what dict probes pay for, and hashing a
     # cryptographic digest again for a process-local dict would buy
-    # nothing.  ``store_key`` derives the stable hex form on the rare
-    # store-mirroring paths.  Tails depend only on (stimulus, engine,
-    # batch length, input order), so the mask->tail memo rides the
-    # packed-stimulus object: a candidate sweep over one stimulus
-    # pays each distinct support mask's bit-walk once, and identical
-    # tails across candidates stay one shared bytes object.
+    # nothing.  Tails depend only on (stimulus, engine, batch length,
+    # input order), so the mask->tail memo rides the packed-stimulus
+    # object: a candidate sweep over one stimulus pays each distinct
+    # support mask's bit-walk once, and identical tails across
+    # candidates stay one shared bytes object.
     memo_key = (engine, packed.n, tuple(circuit.inputs))
     memos = getattr(packed, "_tail_memo", None)
     if memos is None:
@@ -263,17 +265,18 @@ def cone_keys(circuit: Circuit, packed: PackedVectors, engine: str,
     return keys
 
 
-def store_key(key: "ConeKey") -> str:
-    """Stable hex form of a cone key for the shared artifact store."""
-    fp, tail = key
-    return hashlib.sha256(
-        b"cone-key/1\x00" + fp.encode("ascii") + tail).hexdigest()
-
-
 def _record_from_lane(lane: int, n: int) -> ConeRecord:
     ones, toggles, last = lane_counts(lane, n)
     return ConeRecord(n=n, ones=ones, toggles=toggles, last=last,
                       lane=lane & ((1 << n) - 1))
+
+
+def _resolve(circuit: Circuit, engine: Optional[str], n: int) -> str:
+    """The zero-delay engine a run of ``n`` cycles would use."""
+    from repro.logic.simulate import DEFAULT_ENGINE
+
+    return resolve_engine(engine, DEFAULT_ENGINE, cycles=n,
+                          sequential=bool(circuit.latches))
 
 
 def _ensure_packed(circuit: Circuit,
@@ -286,41 +289,6 @@ def _ensure_packed(circuit: Circuit,
     try:
         return PackedVectors.from_vectors(circuit.inputs, list(vectors))
     except KeyError:
-        return None
-
-
-# ----------------------------------------------------------------------
-# Store mirroring (kind "activity", schema repro.activity/1)
-# ----------------------------------------------------------------------
-def _cone_payload(rec: ConeRecord) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "schema": artifact_store.ACTIVITY_SCHEMA, "flavour": "cone",
-        "n": rec.n, "ones": rec.ones, "toggles": rec.toggles,
-        "last": rec.last,
-    }
-    if rec.lane is not None and rec.n <= STORE_MAX_LANE_CYCLES:
-        payload["lane"] = format(rec.lane, "x")
-    return payload
-
-
-def _cone_from_payload(payload: Optional[Dict[str, object]],
-                       n: int) -> Optional[ConeRecord]:
-    """Decode a per-cone store entry; anything malformed is a miss."""
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("schema") != artifact_store.ACTIVITY_SCHEMA:
-        return None
-    if payload.get("flavour") != "cone":
-        return None
-    try:
-        if int(payload["n"]) != n:
-            return None
-        lane = payload.get("lane")
-        return ConeRecord(
-            n=n, ones=int(payload["ones"]),
-            toggles=int(payload["toggles"]), last=int(payload["last"]),
-            lane=int(lane, 16) if isinstance(lane, str) else None)
-    except (KeyError, TypeError, ValueError):
         return None
 
 
@@ -338,17 +306,18 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
 
     Looks every net up by cone key, resimulates only the dirty region
     (with clean boundary nets replayed from cached lanes), and
-    assembles the report from per-net records.  Falls back to a plain
-    :func:`~repro.logic.simulate.collect_activity` when the stimulus
-    cannot be packed, an explicit ``initial_state`` is given (cached
-    lanes assume latch init values), or the batch is empty; falls
-    back to a full (but cache-populating) lane run when the dirty
-    region exceeds :data:`DELTA_MAX_FRACTION` of the nets or a
-    boundary lane is unavailable.
+    assembles the report from per-net records.  When nets are missing
+    and the process store has a disk root, a whole-run record for this
+    (circuit, stimulus, engine, cycles) is probed once first (a hit is
+    the report) and, on a miss, written once after assembly.
+
+    Falls back to a plain :func:`~repro.logic.simulate.collect_activity`
+    when the stimulus cannot be packed, an explicit ``initial_state``
+    is given (cached lanes assume latch init values), or the batch is
+    empty; falls back to a full (but cache-populating) lane run when
+    the dirty region exceeds :data:`DELTA_MAX_FRACTION` of the nets.
     """
     cache = cache if cache is not None else get_cone_cache()
-    from repro.logic.simulate import DEFAULT_ENGINE
-
     packed = _ensure_packed(circuit, vectors)
     if packed is None or packed.n == 0 or initial_state is not None:
         report = collect_activity(circuit, vectors,
@@ -357,8 +326,7 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
         return report, DeltaStats(source="fallback",
                                   total_nets=len(circuit.nets))
     n = packed.n
-    resolved = resolve_engine(engine, DEFAULT_ENGINE, cycles=n,
-                              sequential=bool(circuit.latches))
+    resolved = _resolve(circuit, engine, n)
     keys = _keys if _keys is not None else cone_keys(circuit, packed,
                                                      resolved)
     nets = circuit.nets
@@ -388,30 +356,38 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
             missing.append(net)
     cache.hits += hits
     cache.misses += len(missing)
-    stats = DeltaStats(source="cached", total_nets=len(nets))
-
-    # Second chance: the shared artifact store (cross-process reuse).
-    st = artifact_store.get_store()
-    mirror = st.root is not None and n >= STORE_MIN_CYCLES
-    if missing and mirror:
-        still: List[str] = []
-        for net in missing:
-            rec = _cone_from_payload(
-                st.get(store_key(keys[net]),
-                       artifact_store.ACTIVITY_KIND), n)
-            if rec is not None:
-                records[net] = rec
-                cache.put(keys[net], rec)
-                stats.store_hits += 1
-            else:
-                still.append(net)
-        missing = still
-
     non_input = len(nets) - len(inputs)
-    stats.reused_nets = non_input - len(missing)
-    stats.dirty_nets = len(missing)
+    stats = DeltaStats(source="cached", total_nets=len(nets),
+                       reused_nets=non_input - len(missing),
+                       dirty_nets=len(missing))
 
-    if missing:
+    # Second chance: one whole-run record in the shared artifact store
+    # (cross-process reruns of this exact circuit and stimulus).  It
+    # holds counts only; lanes for boundary replay never leave the
+    # process.  The stored net list must match in order, too: it fixes
+    # the float summation order of the switched capacitance.
+    st = artifact_store.get_store()
+    run_key = None
+    report = None
+    if missing and st.root is not None and n >= STORE_MIN_CYCLES:
+        run_key = artifact_store.activity_key(
+            circuit.fingerprint(), stimulus_fingerprint(packed),
+            f"zero-delay/{resolved}", n)
+        decoded = artifact_store.unpack_activity(
+            st.get(run_key, artifact_store.ACTIVITY_KIND))
+        if decoded is not None and decoded["cycles"] == n \
+                and decoded["nets"] == list(nets):
+            report = ActivityReport(
+                cycles=n, toggles=decoded["toggles"],
+                ones=decoded["ones"],
+                switched_capacitance=decoded["switched"],
+                clock_capacitance=decoded["clock"])
+            stats.source = "store"
+            stats.store_hits = len(missing)
+            stats.reused_nets = non_input
+            stats.dirty_nets = 0
+
+    if missing and report is None:
         fresh: Dict[str, int] = {}
         if len(missing) > DELTA_MAX_FRACTION * max(1, non_input):
             lanes, _ = net_words_engine(circuit, packed,
@@ -426,43 +402,35 @@ def delta_activity(circuit: Circuit, vectors: Stimulus, *,
             # well-formed sub-circuit whose boundary is clean.
             sub, boundary = circuit.extract_cone(missing)
             stats.boundary_nets = len(boundary)
-            boundary_lanes: Dict[str, int] = {}
-            for b in boundary:
-                rec = records.get(b)
-                if rec is None or rec.lane is None:
-                    break
-                boundary_lanes[b] = rec.lane
-            if len(boundary_lanes) != len(boundary):
-                lanes, _ = net_words_engine(circuit, packed,
-                                            initial_state=None,
-                                            engine=resolved)
-                fresh = {net: lanes[net] for net in missing}
-                stats.source = "full"
-            else:
-                words = {net: packed.words[net]
-                         for net in sub.inputs if net in packed.words}
-                words.update(boundary_lanes)
-                sub_packed = PackedVectors(list(sub.inputs), n, words)
-                lanes, _ = net_words_engine(sub, sub_packed,
-                                            initial_state=None,
-                                            engine=resolved)
-                fresh = {net: lanes[net] for net in missing}
-                stats.source = "delta"
+            words = {net: packed.words[net]
+                     for net in sub.inputs if net in packed.words}
+            words.update((b, records[b].lane) for b in boundary)
+            sub_packed = PackedVectors(list(sub.inputs), n, words)
+            lanes, _ = net_words_engine(sub, sub_packed,
+                                        initial_state=None,
+                                        engine=resolved)
+            fresh = {net: lanes[net] for net in missing}
+            stats.source = "delta"
         for net, lane in fresh.items():
             rec = _record_from_lane(lane, n)
             records[net] = rec
             if populate:
                 cache.put(keys[net], rec)
-                if mirror:
-                    st.put(store_key(keys[net]),
-                           artifact_store.ACTIVITY_KIND,
-                           _cone_payload(rec))
+
+    if report is None:
+        report = _assemble(circuit, records, n, nets)
+        if run_key is not None and populate:
+            st.put(run_key, artifact_store.ACTIVITY_KIND,
+                   artifact_store.pack_activity(
+                       n, nets, report.toggles, report.ones,
+                       report.switched_capacitance,
+                       report.clock_capacitance))
 
     if obs.enabled():
         obs.inc(f"incremental.source.{stats.source}")
         obs.inc("incremental.reused_nets", stats.reused_nets)
         obs.inc("incremental.dirty_nets", stats.dirty_nets)
-    return _assemble(circuit, records, n, nets), stats
+    return report, stats
 
 
 def _assemble(circuit: Circuit, records: Dict[str, ConeRecord],
@@ -524,9 +492,27 @@ def collect_activity_incremental(circuit: Circuit, vectors: Stimulus,
 def prime(circuit: Circuit, vectors: Stimulus,
           engine: Optional[str] = None,
           cache: Optional[ConeCache] = None) -> ActivityReport:
-    """Populate the cone cache for a base circuit (returns its report)."""
-    return collect_activity_incremental(circuit, vectors, engine=engine,
-                                        cache=cache)
+    """Populate the cone cache for a base circuit (returns its report).
+
+    A disk-store run record carries counts but no lanes, so when one
+    serves the base, the base is simulated once more here: the edited
+    variants that follow need its lanes as replay boundaries.
+    """
+    cache = cache if cache is not None else get_cone_cache()
+    report, stats = delta_activity(circuit, vectors, engine=engine,
+                                   cache=cache)
+    if stats.source == "store":
+        packed = _ensure_packed(circuit, vectors)
+        resolved = _resolve(circuit, engine, packed.n)
+        keys = cone_keys(circuit, packed, resolved)
+        lanes, _ = net_words_engine(circuit, packed, initial_state=None,
+                                    engine=resolved)
+        inputs = set(circuit.inputs)
+        for net in circuit.nets:
+            if net not in inputs:
+                cache.put(keys[net], _record_from_lane(lanes[net],
+                                                       packed.n))
+    return report
 
 
 def estimate_delta(base: Circuit, variant: Circuit, vectors: Stimulus,
@@ -564,11 +550,7 @@ def cached_activity(circuit: Circuit, vectors: Stimulus,
     packed = _ensure_packed(circuit, vectors)
     if packed is None or packed.n == 0:
         return None
-    from repro.logic.simulate import DEFAULT_ENGINE
-
-    resolved = resolve_engine(engine, DEFAULT_ENGINE,
-                              cycles=packed.n,
-                              sequential=bool(circuit.latches))
+    resolved = _resolve(circuit, engine, packed.n)
     keys = cone_keys(circuit, packed, resolved)
     inputs = set(circuit.inputs)
     non_input = [net for net in circuit.nets if net not in inputs]

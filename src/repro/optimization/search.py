@@ -6,9 +6,9 @@ re-estimation, keep the best.  PR 9's cone cache made each score
 cheap; this module makes the *walk* scale — independent candidates
 fan out over a persistent :class:`~concurrent.futures.\
 ProcessPoolExecutor` whose workers warm-start from the shared
-:mod:`repro.store` disk layer, so cone-cache entries and compiled
-plans cross process boundaries and workers splice instead of
-resimulating.
+:mod:`repro.store` disk layer, so compiled plans and whole-run
+activity records cross process boundaries, while each worker's cone
+cache splices the candidates it evaluates itself.
 
 Contract
 --------
@@ -52,6 +52,7 @@ import tempfile
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs
@@ -140,8 +141,8 @@ _CTX_CACHE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 def _init_worker(store_dir: Optional[str]) -> None:
     """Warm-start one pool worker.
 
-    Point the worker at the sweep's shared disk store (cone-cache
-    entries and compiled plans written by any process rehydrate here),
+    Point the worker at the sweep's shared disk store (compiled plans
+    and run records written by any process rehydrate here),
     start a fresh bounded in-process cone cache, and pre-import the
     hot modules so the first job measures estimation, not imports.
     """
@@ -173,15 +174,10 @@ def _materialize(ref: Dict[str, Any]) -> Dict[str, Any]:
             try:
                 blob = bytes(seg.buf[:ref["size"]])
             finally:
-                try:
-                    # Attaching registers the segment with the resource
-                    # tracker a second time (owner already tracks it);
-                    # drop the duplicate or the tracker warns at exit.
-                    from multiprocessing import resource_tracker
-                    resource_tracker.unregister(seg._name,
-                                                "shared_memory")
-                except Exception:
-                    pass
+                # Attaching registers the segment again with the
+                # parent's resource tracker (see ``_get_pool``), which
+                # keeps one entry per name: the parent's unlink clears
+                # it, so the worker leaves the registration alone.
                 seg.close()
         else:                                   # "file"
             with open(ref["path"], "rb") as fh:
@@ -239,8 +235,8 @@ def _pool_store_dir() -> str:
 
     The parent's store object is never replaced — pools must not have
     global configuration side effects — but workers always get a disk
-    layer, because cross-worker cone and plan sharing is the entire
-    warm-start mechanism.
+    layer, because cross-worker plan and run-record sharing is the
+    entire warm-start mechanism.
     """
     global _POOL_STORE_TMP
     st = artifact_store.get_store()
@@ -293,6 +289,11 @@ def _get_pool(workers: int) -> ProcessPoolExecutor:
     if not _ATEXIT_REGISTERED:
         atexit.register(_atexit_cleanup)
         _ATEXIT_REGISTERED = True
+    # Start the parent's resource tracker before any worker exists, so
+    # every worker shares it under fork, spawn and forkserver alike: a
+    # worker with a tracker of its own would unlink the parent's
+    # shared-memory segments when it exits.
+    resource_tracker.ensure_running()
     pool = ProcessPoolExecutor(max_workers=workers,
                                initializer=_init_worker,
                                initargs=(store_dir,))
@@ -462,9 +463,8 @@ def activity_job(candidate: Any, ctx: SearchContext):
     ``candidate`` is a circuit or a ``(circuit, stimulus_key)`` pair
     (the key selects from ``ctx.stimuli``; default ``"stimulus"``).
     ``ctx.extras["incremental"]`` (default True) routes through the
-    cone cache — in a pool worker that cache warm-starts from the
-    sweep's shared disk store and repopulates it for later candidates;
-    either route returns the bit-identical report.
+    worker's cone cache, backed by whole-run records in the sweep's
+    shared disk store; either route returns the bit-identical report.
     """
     if isinstance(candidate, tuple):
         circuit, key = candidate

@@ -240,6 +240,76 @@ class TestStoreLayer:
                                  collect_activity(base, vectors))
         assert artifact_store.get_store().stats()["corrupt"] > 0
 
+    def test_one_run_record_per_run(self, tmp_path):
+        base = random_logic(5, 40, 2, seed=9)
+        vectors = random_packed_vectors(
+            list(base.inputs), inc.STORE_MIN_CYCLES, seed=3)
+        assert not list(tmp_path.glob("activity-*.json"))
+        _, stats = inc.delta_activity(base, vectors, cache=inc.ConeCache())
+        assert stats.dirty_nets > 1
+        assert len(list(tmp_path.glob("activity-*.json"))) == 1
+
+    @pytest.mark.parametrize("tamper", ["nets", "cycles"])
+    def test_mismatched_run_record_is_a_miss(self, tmp_path, tamper):
+        base, vectors = self._prime_on_disk()
+        (path,) = tmp_path.glob("activity-*.json")
+        envelope = json.loads(path.read_text())
+        payload = envelope["payload"]
+        if tamper == "nets":
+            # Still a well-formed record, but of one net fewer.
+            for field in ("nets", "toggles", "ones"):
+                payload[field] = payload[field][:-1]
+        else:
+            payload["cycles"] += 1
+        assert artifact_store.unpack_activity(payload) is not None
+        path.write_text(json.dumps(envelope))
+        artifact_store.configure(tmp_path)
+        report, stats = inc.delta_activity(base, vectors,
+                                           cache=inc.ConeCache())
+        assert stats.store_hits == 0 and stats.source != "store"
+        assert inc.reports_equal(report,
+                                 collect_activity(base, vectors))
+
+    def test_prime_loads_lanes_on_run_record_hit(self):
+        base = random_logic(8, 200, 4, seed=12)
+        vectors = random_packed_vectors(
+            list(base.inputs), inc.STORE_MIN_CYCLES, seed=6)
+        inc.delta_activity(base, vectors, cache=inc.ConeCache())
+        # A new process: fresh store object, fresh cone cache; the
+        # base's run record on disk is all that is left.
+        artifact_store.configure(artifact_store.get_store().root)
+        _, stats = inc.delta_activity(base, vectors, cache=inc.ConeCache())
+        assert stats.source == "store"
+        cache = inc.ConeCache()
+        assert inc.reports_equal(inc.prime(base, vectors, cache=cache),
+                                 collect_activity(base, vectors))
+        variant = edit_gates(base, [len(base.gates) - 1],
+                             random.Random(1))
+        report, stats = inc.delta_activity(variant, vectors, cache=cache)
+        assert stats.source == "delta"
+        assert inc.reports_equal(report,
+                                 collect_activity(variant, vectors))
+
+    def test_plans_stay_resident_after_mirrored_sweep(self):
+        from repro.logic import fastsim
+
+        base = random_logic(8, 200, 4, seed=12)
+        vectors = random_packed_vectors(
+            list(base.inputs), inc.STORE_MIN_CYCLES, seed=6)
+        cache = inc.ConeCache()
+        inc.prime(base, vectors, cache=cache)
+        for k in range(6):
+            variant = edit_gates(base, [k * 7], random.Random(k))
+            inc.delta_activity(variant, vectors, cache=cache)
+        st = artifact_store.get_store()
+        # More nets than memory slots: a record per net would have
+        # flushed the plans; one record per run keeps them.
+        assert len(base.nets) > st.mem_entries
+        resident = set(st._mem)
+        assert st.key(base.fingerprint(), fastsim.STORE_KIND) in resident
+        assert sum(k.startswith(artifact_store.ACTIVITY_KIND + "-")
+                   for k in resident) == 7
+
     def test_wrong_schema_payload_is_a_miss(self):
         assert artifact_store.unpack_activity(None) is None
         assert artifact_store.unpack_activity({"schema": "bogus"}) is None

@@ -11,6 +11,9 @@ seed-derivation schemes into :mod:`repro.util.seeding`.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,6 +35,9 @@ from repro.optimization.bus_encoding import (
     survey_codes,
 )
 from repro.util import seeding
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 @pytest.fixture(autouse=True)
@@ -236,6 +242,50 @@ class TestContextShipping:
         # workers can materialize it
         payload = search._materialize(dict(ref))
         assert payload["stimuli"]["blob"][:3] == [0, 1, 2]
+
+    @pytest.mark.skipif(not search.numpy_available(),
+                        reason="shared-memory transport needs numpy")
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_shm_segment_shares_parent_tracker(self, warm):
+        """Workers share the parent's resource tracker whether or not it
+        ran before the pool forked: their attach must leave the
+        parent's registration alone, so the parent's unlink is clean
+        and the segment is really gone afterwards."""
+        code = f"WARM = {warm}\n" + textwrap.dedent("""
+            from multiprocessing import shared_memory
+            from repro.logic.fastsim import random_packed_vectors
+            from repro.logic.generators import random_logic
+            from repro.optimization import search
+
+            if WARM:
+                warm = shared_memory.SharedMemory(create=True, size=64)
+                warm.close()
+                warm.unlink()            # the parent's tracker now runs
+            c = random_logic(6, 30, 2, seed=1)
+            stimuli = {"stimulus": random_packed_vectors(
+                list(c.inputs), 1 << 16, seed=2)}      # well over 16 KiB
+            search.evaluate_candidates(
+                search.activity_job, [c, c.clone("b")], stimuli=stimuli,
+                workers=2)
+            names = [seg.name for seg in search._SHM_SEGMENTS.values()]
+            search.shutdown_pool()
+            assert names, "context did not ride shared memory"
+            for name in names:
+                try:
+                    shared_memory.SharedMemory(name=name).close()
+                except FileNotFoundError:
+                    continue
+                print("still linked:", name)
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "still linked" not in proc.stdout
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        # A worker tracker of its own would report the segment leaked.
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 # ----------------------------------------------------------------------

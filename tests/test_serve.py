@@ -190,8 +190,11 @@ class TestEstimation:
         assert summary["store_misses"] == 0
 
     def test_jobs_spread_across_workers(self, client):
-        jobs = [_job("parity_tree", {"width": 8}, cycles=32,
-                     seed=i, id=i) for i in range(8)]
+        # Each job runs the scalar reference engine for ~50-100 ms, so
+        # one worker cannot drain the batch before the other picks up
+        # work (tiny jobs could all finish on whichever worker is first).
+        jobs = [_job("parity_tree", {"width": 8}, cycles=4096,
+                     engine="reference", seed=i, id=i) for i in range(8)]
         results = client.estimate(jobs)["results"]
         assert len({r["pid"] for r in results}) > 1
 
