@@ -53,7 +53,7 @@ class TiwariModel:
         for op in opcodes:
             block = [_neutral(op, k) for k in range(loop_length)]
             block.append(I("HALT"))
-            stats = Machine().run(block)
+            stats = _run_block(block)
             model.base_costs[op] = (stats.energy
                                     / max(1, stats.instructions - 1))
         for a in opcodes:
@@ -65,7 +65,7 @@ class TiwariModel:
                     block.append(_neutral(a, k))
                     block.append(_neutral(b, k))
                 block.append(I("HALT"))
-                stats = Machine().run(block)
+                stats = _run_block(block)
                 per_instr = stats.energy / max(1, stats.instructions - 1)
                 base_avg = 0.5 * (model.base_costs[a]
                                   + model.base_costs[b])
@@ -95,8 +95,25 @@ class TiwariModel:
         return abs(self.estimate(stats) - stats.energy) / stats.energy
 
 
+def _run_block(block: List[Instruction]) -> RunStats:
+    """Run one characterization block; it must reach its HALT.
+
+    r4 starts nonzero so that BEQ's neutral form is never taken; no
+    other neutral instruction reads r4.
+    """
+    machine = Machine()
+    machine.registers[4] = 1
+    stats = machine.run(block)
+    if not stats.halted:
+        raise RuntimeError(
+            f"characterization block starting with {block[0].op} did "
+            f"not halt within {stats.instructions} instructions")
+    return stats
+
+
 def _neutral(op: str, k: int) -> Instruction:
-    """An instance of ``op`` safe to run in a straight-line loop."""
+    """An instance of ``op`` safe to run in a straight-line loop
+    (on a machine prepared by :func:`_run_block`)."""
     if op in ("LD", "ST"):
         return I(op, rd=1, rs=0, imm=(k * 7) % 64)
     if op == "ADDI":
@@ -104,7 +121,8 @@ def _neutral(op: str, k: int) -> Instruction:
     if op == "SLL":
         return I(op, rd=2, rs=3, imm=1)
     if op in ("BEQ", "BNE"):
-        # Never-taken branch (r1 vs r1 for BNE; r1 vs r2!=r1 for BEQ).
+        # Never-taken branch: r1 vs r1 for BNE; r1 (always 0) vs r4
+        # (nonzero, see _run_block) for BEQ.
         if op == "BNE":
             return I(op, rd=1, rs=1, imm=0)
         return I(op, rd=1, rs=4, imm=0)

@@ -70,14 +70,8 @@ def dependence_dag(block: Sequence[Instruction]
 
 def bus_transition_cost(block: Sequence[Instruction]) -> int:
     """Total instruction-bus toggles of a straight-line block."""
-    total = 0
-    prev: Optional[int] = None
-    for instr in block:
-        word = encode(instr)
-        if prev is not None:
-            total += hamming32(prev, word)
-        prev = word
-    return total
+    words = [encode(instr) for instr in block]
+    return sum(hamming32(a, b) for a, b in zip(words, words[1:]))
 
 
 def cold_schedule(block: Sequence[Instruction],
@@ -90,6 +84,7 @@ def cold_schedule(block: Sequence[Instruction],
     dependence DAG).
     """
     deps = dependence_dag(block)
+    words = [encode(instr) for instr in block]
     remaining = set(range(len(block)))
     emitted: List[Instruction] = []
     prev_word: Optional[int] = None
@@ -100,15 +95,14 @@ def cold_schedule(block: Sequence[Instruction],
             raise RuntimeError("no ready instruction")
 
         def cost(i: int) -> Tuple[int, int]:
-            word = encode(block[i])
-            toggles = hamming32(prev_word, word) \
+            toggles = hamming32(prev_word, words[i]) \
                 if prev_word is not None else 0
             return (toggles, i)
 
         chosen = min(ready, key=cost)
         remaining.discard(chosen)
         emitted.append(block[chosen])
-        prev_word = encode(block[chosen])
+        prev_word = words[chosen]
     del priority_window
     return emitted
 

@@ -17,18 +17,19 @@ trace used by cold scheduling (Section III-A, bench C13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.software.isa import (
     BASE_COSTS,
     BUS_TOGGLE_COST,
+    OPCODES,
     OPERAND_TOGGLE_COST,
     OTHER_COSTS,
     Instruction,
     encode,
-    hamming32,
 )
+from repro.util.bits import popcount
 
 
 @dataclass
@@ -67,19 +68,22 @@ class RunStats:
         return self.energy / max(1, self.instructions)
 
 
-class _DirectMappedCache:
-    def __init__(self, lines: int, line_words: int) -> None:
-        self.lines = lines
-        self.line_words = line_words
-        self.tags: List[Optional[int]] = [None] * lines
+#: Opcode kinds of a pre-decoded instruction.  The six ALU kinds come
+#: first so one compare selects the operand-toggle path.
+_KINDS: Dict[str, int] = {op: kind for kind, op in enumerate((
+    "ADD", "SUB", "AND", "OR", "XOR", "MUL", "ADDI", "SLL", "LD", "ST",
+    "BEQ", "BNE", "JMP", "HALT", "NOP"))}
+(_ADD, _SUB, _AND, _OR, _XOR, _MUL, _ADDI, _SLL, _LD, _ST, _BEQ, _BNE,
+ _JMP, _HALT, _NOP) = range(len(_KINDS))
 
-    def access(self, address: int) -> bool:
-        """True on hit; installs the line on miss."""
-        block = address // self.line_words
-        index = block % self.lines
-        hit = self.tags[index] == block
-        self.tags[index] = block
-        return hit
+#: C-level population count (``int.bit_count``, Python >= 3.10).
+_bit_count = getattr(int, "bit_count", popcount)
+
+
+def _decode(instr: Instruction) -> tuple:
+    """One static instruction as the flat tuple ``run`` dispatches on."""
+    return (_KINDS[instr.op], BASE_COSTS[instr.klass], encode(instr),
+            instr.rd, instr.rs, instr.rt, instr.imm, _sext(instr.imm))
 
 
 class Machine:
@@ -99,119 +103,141 @@ class Machine:
 
     def run(self, program: List[Instruction],
             max_instructions: int = 200_000) -> RunStats:
-        cache = _DirectMappedCache(self.cache_lines, self.cache_line_words)
+        """Execute ``program`` from pc 0 until HALT, a pc outside the
+        program, or ``max_instructions`` executed instructions.
+
+        Each static instruction is decoded once; the loop only counts
+        control-flow edges ``(previous pc, pc)``, and the opcode, class
+        and pair counts are rebuilt from them afterwards.
+        """
+        code = [_decode(instr) for instr in program]
+        n = len(code)
+        regs = self.registers
+        memory = self.memory
+        memory_words = self.memory_words
+        line_words = self.cache_line_words
+        lines = self.cache_lines
+        tags = [-1] * lines          # direct-mapped data cache
+        bus_cost = BUS_TOGGLE_COST
+        operand_cost = OPERAND_TOGGLE_COST
+        stall_cost = OTHER_COSTS["stall"]
+        miss_cost = OTHER_COSTS["cache_miss"]
+        mispredict_cost = OTHER_COSTS["branch_mispredict"]
+        bit_count = _bit_count
+        mask = 0xFFFFFFFF
+
+        # edges[prev_pc * n + pc] counts executions of pc right after
+        # prev_pc; the first instruction enters from prev_pc = -1.
+        edges: Dict[int, int] = {}
         pc = 0
-        cycles = 0
+        prev_pc = -1
+        prev_word = code[0][2] if code else 0   # first: no bus toggles
+        prev_a = prev_b = 0
+        load_rd = -1                 # destination of the previous LD
         energy = 0.0
         executed = 0
+        extra_cycles = 0
         stalls = 0
         misses = 0
         accesses = 0
         bus_toggles = 0
-        class_counts: Dict[str, int] = {}
-        opcode_counts: Dict[str, int] = {}
-        pair_counts: Dict[Tuple[str, str], int] = {}
-        prev_encoding: Optional[int] = None
-        prev_op: Optional[str] = None
-        prev_load_rd: Optional[int] = None
-        prev_operands = (0, 0)
         halted = False
-        mask = 0xFFFFFFFF
 
-        while 0 <= pc < len(program) and executed < max_instructions:
-            instr = program[pc]
+        while 0 <= pc < n and executed < max_instructions:
+            kind, base, word, rd, rs, rt, imm, simm = code[pc]
             executed += 1
-            cycles += 1
-            klass = instr.klass
-            class_counts[klass] = class_counts.get(klass, 0) + 1
-            opcode_counts[instr.op] = opcode_counts.get(instr.op, 0) + 1
-            if prev_op is not None:
-                key = (prev_op, instr.op)
-                pair_counts[key] = pair_counts.get(key, 0) + 1
+            key = prev_pc * n + pc
+            edges[key] = edges.get(key, 0) + 1
 
             # Base + circuit-state energy.
-            energy += BASE_COSTS[klass]
-            word = encode(instr)
-            if prev_encoding is not None:
-                toggles = hamming32(prev_encoding, word)
-                bus_toggles += toggles
-                energy += BUS_TOGGLE_COST * toggles
-            prev_encoding = word
-
-            regs = self.registers
-            a, b = regs[instr.rs], regs[instr.rt]
+            energy += base
+            toggles = bit_count(prev_word ^ word)
+            bus_toggles += toggles
+            energy += bus_cost * toggles
+            prev_word = word
 
             # Load-use stall: previous LD's destination consumed now.
-            if prev_load_rd is not None and \
-                    prev_load_rd in (instr.rs, instr.rt):
+            if load_rd == rs or load_rd == rt:
                 stalls += 1
-                cycles += 1
-                energy += OTHER_COSTS["stall"]
-            prev_load_rd = None
+                extra_cycles += 1
+                energy += stall_cost
+            load_rd = -1
 
             next_pc = pc + 1
-            if instr.op in ("ADD", "SUB", "AND", "OR", "XOR", "MUL"):
-                energy += OPERAND_TOGGLE_COST * (
-                    hamming32(prev_operands[0], a)
-                    + hamming32(prev_operands[1], b))
-                prev_operands = (a, b)
-                if instr.op == "ADD":
-                    value = a + b
-                elif instr.op == "SUB":
-                    value = a - b
-                elif instr.op == "AND":
-                    value = a & b
-                elif instr.op == "OR":
-                    value = a | b
-                elif instr.op == "XOR":
-                    value = a ^ b
+            if kind <= _MUL:
+                a = regs[rs]
+                b = regs[rt]
+                energy += operand_cost * (bit_count((prev_a ^ a) & mask)
+                                          + bit_count((prev_b ^ b) & mask))
+                prev_a = a
+                prev_b = b
+                if kind == _ADD:
+                    regs[rd] = (a + b) & mask
+                elif kind == _MUL:
+                    regs[rd] = (a * b) & mask
+                    extra_cycles += 1   # multiplier takes an extra cycle
+                elif kind == _SUB:
+                    regs[rd] = (a - b) & mask
+                elif kind == _AND:
+                    regs[rd] = a & b & mask
+                elif kind == _OR:
+                    regs[rd] = (a | b) & mask
                 else:
-                    value = a * b
-                    cycles += 1   # multiplier takes an extra cycle
-                if instr.rd:
-                    regs[instr.rd] = value & mask
-            elif instr.op == "ADDI":
-                if instr.rd:
-                    regs[instr.rd] = (regs[instr.rs] + _sext(instr.imm)) \
-                        & mask
-            elif instr.op == "SLL":
-                if instr.rd:
-                    regs[instr.rd] = (regs[instr.rs] << (instr.imm & 31)) \
-                        & mask
-            elif instr.op in ("LD", "ST"):
-                address = (regs[instr.rs] + _sext(instr.imm)) \
-                    % self.memory_words
-                accesses += 1
-                if not cache.access(address):
-                    misses += 1
-                    cycles += 4
-                    energy += OTHER_COSTS["cache_miss"]
-                if instr.op == "LD":
-                    if instr.rd:
-                        regs[instr.rd] = self.memory[address]
-                    prev_load_rd = instr.rd
+                    regs[rd] = (a ^ b) & mask
+            elif kind == _ADDI:
+                regs[rd] = (regs[rs] + simm) & mask
+            elif kind <= _ST:
+                if kind == _SLL:
+                    regs[rd] = (regs[rs] << (imm & 31)) & mask
                 else:
-                    self.memory[address] = regs[instr.rd]
-            elif instr.op in ("BEQ", "BNE"):
-                lhs, rhs = regs[instr.rd], regs[instr.rs]
-                taken = (lhs == rhs) if instr.op == "BEQ" else (lhs != rhs)
-                if taken:
-                    next_pc = instr.imm
+                    address = (regs[rs] + simm) % memory_words
+                    accesses += 1
+                    block = address // line_words
+                    line = block % lines
+                    if tags[line] != block:
+                        tags[line] = block
+                        misses += 1
+                        extra_cycles += 4
+                        energy += miss_cost
+                    if kind == _LD:
+                        regs[rd] = memory[address]
+                        load_rd = rd
+                    else:
+                        memory[address] = regs[rd]
+            elif kind <= _BNE:
+                if (regs[rd] == regs[rs]) == (kind == _BEQ):
+                    next_pc = imm
                     # Static predict-not-taken: taken branches flush.
-                    energy += OTHER_COSTS["branch_mispredict"]
-                    cycles += 1
-            elif instr.op == "JMP":
-                next_pc = instr.imm
-            elif instr.op == "HALT":
+                    energy += mispredict_cost
+                    extra_cycles += 1
+            elif kind == _JMP:
+                next_pc = imm
+            elif kind == _HALT:
                 halted = True
                 break
             # NOP: nothing.
-            regs[0] = 0
+            regs[0] = 0              # r0 is hardwired: undo any write
+            prev_pc = pc
             pc = next_pc
-            prev_op = instr.op
+
+        # Counts per opcode, class and opcode pair, keyed in order of
+        # first occurrence (edges iterate in first-traversal order).
+        ops = [instr.op for instr in program]
+        opcode_counts: Dict[str, int] = {}
+        class_counts: Dict[str, int] = {}
+        pair_counts: Dict[Tuple[str, str], int] = {}
+        for key, count in edges.items():
+            src, dst = divmod(key, n)
+            op = ops[dst]
+            opcode_counts[op] = opcode_counts.get(op, 0) + count
+            klass = OPCODES[op][1]
+            class_counts[klass] = class_counts.get(klass, 0) + count
+            if src >= 0:
+                pair = (ops[src], op)
+                pair_counts[pair] = pair_counts.get(pair, 0) + count
 
         return RunStats(
-            cycles=cycles,
+            cycles=executed + extra_cycles,
             instructions=executed,
             energy=energy,
             class_counts=class_counts,

@@ -23,6 +23,7 @@ from repro.estimation.sampling import (
 )
 from repro.estimation.quicksynth import dynamic_profile, \
     quick_synthesis_estimate
+from repro.estimation import software_power
 from repro.estimation.software_power import (
     CharacteristicProfile,
     TiwariModel,
@@ -35,7 +36,9 @@ from repro.rtl.streams import (
     correlated_stream,
     random_stream,
 )
+from repro.software import Instruction as I
 from repro.software import Machine, dot_product, fir_program, random_program
+from repro.software.isa import OPCODES
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +371,36 @@ class TestTiwariModel:
         # Kernels include branches the model was not characterized on;
         # error stays moderate.
         assert model.relative_error(stats) < 0.30
+
+    def test_full_characterization_halts_every_block(self, monkeypatch):
+        runs = []
+
+        class Recording(Machine):
+            def run(self, program, max_instructions=200_000):
+                stats = super().run(program, max_instructions)
+                runs.append((program[0].op, stats.halted))
+                return stats
+
+        monkeypatch.setattr(software_power, "Machine", Recording)
+        model = TiwariModel.characterize()
+        opcodes = len(model.base_costs)
+        assert opcodes == len(OPCODES) - 1          # all but HALT
+        assert len(runs) >= opcodes + opcodes * (opcodes - 1) // 2
+        assert all(halted for _op, halted in runs), \
+            [op for op, halted in runs if not halted]
+        # A never-taken BEQ costs what a never-taken BNE does.
+        assert model.base_costs["BEQ"] == pytest.approx(
+            model.base_costs["BNE"], rel=1e-2)
+
+    def test_runaway_block_raises(self, monkeypatch):
+        neutral = software_power._neutral
+        monkeypatch.setattr(
+            software_power, "_neutral",
+            lambda op, k: I("JMP", imm=0) if op == "JMP"
+            else neutral(op, k))
+        with pytest.raises(RuntimeError, match="did not halt"):
+            TiwariModel.characterize(opcodes=["ADD", "JMP"],
+                                     loop_length=10)
 
 
 class TestProfileSynthesis:

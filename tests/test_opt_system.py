@@ -259,6 +259,17 @@ class TestColdScheduling:
         assert report.scheduled_toggles <= report.original_toggles
         assert report.toggle_reduction >= 0.0
 
+    def test_cold_schedule_pinned(self):
+        block = random_program(40, seed=9)[:-1]
+        position = {id(instr): i for i, instr in enumerate(block)}
+        scheduled = cold_schedule(block)
+        assert [position[id(instr)] for instr in scheduled] == [
+            0, 1, 4, 5, 9, 2, 8, 13, 39, 3, 6, 18, 28, 10, 12, 7, 11, 14,
+            19, 15, 16, 17, 20, 21, 23, 25, 22, 27, 33, 24, 26, 29, 36, 30,
+            31, 34, 32, 35, 37, 38]
+        assert bus_transition_cost(block) == 388
+        assert bus_transition_cost(scheduled) == 288
+
     @given(st.integers(0, 300))
     @settings(max_examples=15, deadline=None)
     def test_cold_schedule_equivalence_property(self, seed):
