@@ -47,12 +47,15 @@ Three engines back :meth:`EventSimulator.run`:
 - the *fast* engine in :mod:`repro.logic.fasttimer`: a compiled
   tick-wheel evaluator that packs N cycles bit-parallel per
   (net, tick) and counts with popcounts,
-- the *numpy* engine: the same tick-wheel schedule on ``uint64``
-  lane-array words (:mod:`repro.backend.lanes`).
+- the *numpy* engine: the same compiled tick-wheel kernel on
+  ``uint64`` lane-array words (:mod:`repro.backend.lanes`).
 
 Reports are bit-identical across all three; the compiled engines fall
 down the chain (numpy to fast when numpy is unavailable, both to the
-reference when the circuit cannot be compiled).
+reference when the circuit cannot be compiled).  A fall to the
+reference is counted as ``eventsim.fallbacks.<reason>``, and the
+``eventsim.run`` span records the engine that actually ran as
+``resolved``.
 """
 
 from __future__ import annotations
@@ -242,10 +245,13 @@ class EventSimulator:
                     self._run_fast(
                         vectors,
                         backend="numpy" if engine == "numpy" else None)
-                except (fasttimer.CompileError, BackendUnavailable):
-                    self._run_reference(vectors)
-            else:
+                except fasttimer.CompileError:
+                    engine = self._fallback(sp, "compile_error")
+                except BackendUnavailable:
+                    engine = self._fallback(sp, "backend_unavailable")
+            if engine == "reference":
                 self._run_reference(vectors)
+            sp.set("resolved", engine)
             clock_cap = 0.0
             if self.circuit.latches and self.cycles > 1:
                 clock_cap = (2.0 * gatelib.DFF_CLOCK_CAP
@@ -265,6 +271,15 @@ class EventSimulator:
             events=self.events,
             glitches=self.glitches,
         )
+
+    @staticmethod
+    def _fallback(sp, reason: str) -> str:
+        """Record why a compiled engine handed the batch to the
+        reference engine (counter ``eventsim.fallbacks.<reason>`` and
+        the run span's ``fallback`` attribute); returns "reference"."""
+        obs.inc(f"eventsim.fallbacks.{reason}")
+        sp.set("fallback", reason)
+        return "reference"
 
     def _run_reference(self, vectors: Stimulus) -> None:
         from repro.logic import fastsim

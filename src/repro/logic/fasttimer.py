@@ -4,7 +4,7 @@
 one event at a time through per-gate dict traffic — the last
 unaccelerated layer after fastsim's zero-delay engine.  This module
 compiles the *whole timed schedule* ahead of time and then evaluates
-N cycles bit-parallel, one bignum word per (net, tick):
+N cycles bit-parallel, one packed word per (net, tick):
 
 - :func:`compile_timed` discretizes the cell library's transport
   delays onto the integer tick grid of
@@ -12,16 +12,19 @@ N cycles bit-parallel, one bignum word per (net, tick):
   into a *static* per-tick schedule: a gate is (re)evaluated at every
   tick at which any of its fan-in nets can change, and its output is
   applied ``delay_ticks`` later.  The schedule is lowered to one
-  ``exec``-compiled straight-line function — a timing wheel whose
-  slots are inlined apply/evaluate kernels on packed words.
+  ``exec``-compiled, branch-free straight-line function — a timing
+  wheel whose slots are inlined apply/evaluate kernels on packed
+  words.  The popcount is injected (``int.bit_count`` for bignum
+  words, :meth:`~repro.backend.core.Backend.popcount` for lane
+  arrays), so the one kernel serves every backend.
 - The key observation that makes lanes independent: the *settled*
   value of every net in a cycle is delay-free (equal to the
   zero-delay evaluation), so fastsim's packed functional simulation
   supplies each lane's start and end values and the timed evolution
   of cycle ``t`` never couples to cycle ``t+1``.  Bit ``i`` of every
-  kernel word therefore replays cycle ``i``'s waveform, and
-  ``int.bit_count()`` tallies toggles, glitches and events with
-  popcounts instead of per-event Python.
+  kernel word therefore replays cycle ``i``'s waveform, and popcounts
+  tally toggles and glitches instead of per-event Python; events are
+  the sum of the toggle increments.
 - The static schedule evaluates a superset of the dynamic engine's
   gate evaluations; the extra evaluations see unchanged inputs and
   apply unchanged outputs, so every counter stays bit-identical to
@@ -50,6 +53,11 @@ from repro.backend.core import Backend, BackendUnavailable, \
 from repro.logic import fastsim
 from repro.logic.fastsim import CompileError, PackedVectors, Stimulus
 from repro.logic.netlist import Circuit
+from repro.util.bits import popcount
+
+#: C-level popcount for bignum words (``int.bit_count`` is 3.10+).
+_bit_count = getattr(int, "bit_count", popcount)
+_BIGNUM = get_backend("bignum")
 
 #: Straight-line kernel size cap: total scheduled applies+evaluations.
 #: Past this the generated function stops being worth exec-compiling;
@@ -61,20 +69,17 @@ _MAX_OPS = 60_000
 class TimedPlan:
     """Compiled tick-wheel schedule for one circuit.
 
-    ``kernel(C, N, T, M)`` advances one packed window: ``C`` holds the
-    per-slot start-value words (cycle-start state of every lane), ``N``
-    the per-slot settled words (the functional values the lanes settle
-    to; only root slots are read), ``T`` the per-slot toggle
-    accumulators and ``M`` the lane mask.  It mutates ``C`` to the
-    settled values, adds every applied value change into ``T`` and
-    returns the total number of applied changes (events).
-
-    ``kernel_be(C, N, T, M, ANY, PC)`` is the same schedule rendered
-    backend-generically: words may be lane arrays, so truthiness and
-    popcounts go through the injected ``ANY``/``PC`` callables
-    (:meth:`~repro.backend.core.Backend.nonzero` /
-    :meth:`~repro.backend.core.Backend.popcount`).  ``T`` always
-    holds plain int counters.
+    ``kernel(C, N, T, M, PC)`` advances one packed window: ``C`` holds
+    the per-slot start-value words (cycle-start state of every lane),
+    ``N`` the per-slot settled words (the functional values the lanes
+    settle to; only root slots are read), ``T`` the per-slot toggle
+    accumulators (plain ints), ``M`` the lane mask and ``PC`` the
+    popcount of one word.  It mutates ``C`` to the settled values and
+    adds every applied value change into ``T``; the kernel is
+    branch-free, so the same code runs on bignum words (``PC`` is
+    ``int.bit_count``) and on lane arrays (``PC`` is
+    :meth:`~repro.backend.core.Backend.popcount`).  Events are the sum
+    of the toggle increments, so callers read them off a fresh ``T``.
     """
 
     circuit: Circuit
@@ -83,19 +88,21 @@ class TimedPlan:
     quantum: object                   # Fraction; tick length in delay units
     n_ticks: int                      # schedule horizon (last apply tick)
     n_ops: int                        # applies + evaluations in the kernel
-    kernel: Callable[[List[int], List[int], List[int], int], int]
-    kernel_be: Callable[..., int]
+    kernel: Callable[..., None]
 
 
 #: Artifact kind under which timed plans land in :mod:`repro.store`.
-STORE_KIND = "fasttimer"
+#: The kind is part of the store key; it changes with the kernel's
+#: calling convention so entries written for an older signature are
+#: never rehydrated.
+STORE_KIND = "fasttimer2"
 
 
 def _rehydrate_timed(circuit: Circuit, version: int,
                      payload: Dict[str, object]) -> Optional[TimedPlan]:
     """Rebuild a tick-wheel plan from a store payload, or ``None``.
 
-    The kernels index slots positionally, so the payload's slot
+    The kernel indexes slots positionally, so the payload's slot
     layout must match the functional plan bound to this circuit (it
     always does when both artifacts came from the same compile; a
     mismatch is treated as a miss and triggers a clean recompile).
@@ -109,8 +116,6 @@ def _rehydrate_timed(circuit: Circuit, version: int,
     try:
         kernel = artifact_store.load_function(
             payload["kernel"], "__fasttimer_eval")
-        kernel_be = artifact_store.load_function(
-            payload["kernel_be"], "__fasttimer_eval_be")
         num, den = payload["quantum"]
         return TimedPlan(
             circuit=circuit,
@@ -120,7 +125,6 @@ def _rehydrate_timed(circuit: Circuit, version: int,
             n_ticks=int(payload["n_ticks"]),
             n_ops=int(payload["n_ops"]),
             kernel=kernel,
-            kernel_be=kernel_be,
         )
     except Exception:
         return None
@@ -169,18 +173,9 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
             arrivals[latch.output] = frozenset((0,))
         # schedule[tick] = (applies, evals): slots applied at the tick
         # and gates evaluated at it (both in topological order).
-        schedule: Dict[int, Tuple[List[int], List]] = {}
-
-        def at(tick: int) -> Tuple[List[int], List]:
-            entry = schedule.get(tick)
-            if entry is None:
-                entry = schedule[tick] = ([], [])
-            return entry
-
-        for s in (slot[n] for n in circuit.inputs):
-            at(0)[0].append(s)
-        for latch in circuit.latches:
-            at(0)[0].append(slot[latch.output])
+        schedule: Dict[int, Tuple[List[int], List]] = {0: (
+            [slot[n] for n in circuit.inputs]
+            + [slot[latch.output] for latch in circuit.latches], [])}
 
         n_ops = len(circuit.inputs) + len(circuit.latches)
         for gate in order:
@@ -195,27 +190,19 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
                     f"timed schedule for {circuit.name!r} exceeds "
                     f"{_MAX_OPS} operations")
             for t in sorted(eval_ticks):
-                at(t)[1].append(gate)
+                schedule.setdefault(t, ([], []))[1].append(gate)
                 if d:
-                    at(t + d)[0].append(slot[gate.output])
+                    schedule.setdefault(t + d, ([], []))[0].append(
+                        slot[gate.output])
 
-        # The schedule is rendered twice from one walk: the bignum
-        # flavor tests words with `if _d:` and counts with
-        # `.bit_count()`, the backend-generic flavor routes both
-        # through injected ANY/PC callables so lane-array words work.
-        lines = ["def __fasttimer_eval(C, N, T, M):", "    EV = 0"]
-        lines_be = ["def __fasttimer_eval_be(C, N, T, M, ANY, PC):",
-                    "    EV = 0"]
+        # Branch-free applies: every apply adds its popcount (zero when
+        # nothing changed) and stores the new word, so one rendering
+        # serves bignum and lane-array words alike.
+        lines = ["def __fasttimer_eval(C, N, T, M, PC):"]
 
         def emit_apply(s: int, src: str) -> None:
-            head = [f"    _v = {src}", f"    _d = C[{s}] ^ _v"]
-            tail = [f"        T[{s}] += _t",
-                    "        EV += _t",
-                    f"        C[{s}] = _v"]
-            lines.extend(head + ["    if _d:",
-                                 "        _t = _d.bit_count()"] + tail)
-            lines_be.extend(head + ["    if ANY(_d):",
-                                    "        _t = PC(_d)"] + tail)
+            lines.append(f"    T[{s}] += PC(C[{s}] ^ {src})")
+            lines.append(f"    C[{s}] = {src}")
 
         emitted_pending = set()
         for tick in sorted(schedule):
@@ -233,7 +220,8 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
                     gate.spec, [f"C[{slot[n]}]" for n in gate.inputs])
                 d = grid.ticks[gate.output]
                 if d == 0:
-                    emit_apply(s, expr)
+                    lines.append(f"    _v = {expr}")
+                    emit_apply(s, "_v")
                 else:
                     name = f"p{s}_{tick + d}"
                     if name in emitted_pending:
@@ -242,22 +230,17 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
                             f"{tick + d}")
                     emitted_pending.add(name)
                     lines.append(f"    {name} = {expr}")
-                    lines_be.append(f"    {name} = {expr}")
-        lines.append("    return EV")
-        lines_be.append("    return EV")
+        lines.append("    return")      # keeps an empty schedule valid
         namespace: Dict[str, object] = {}
         source = "\n".join(lines)
-        source_be = "\n".join(lines_be)
         code = compile(source, f"<fasttimer:{circuit.name}>", "exec")
-        code_be = compile(source_be, f"<fasttimer-be:{circuit.name}>",
-                          "exec")
         exec(code, namespace)
-        exec(code_be, namespace)
 
-        n_ticks = max(schedule) if schedule else 0
+        n_ticks = max(schedule)
         sp.set("gates", circuit.gate_count())
         sp.set("ticks", n_ticks)
         sp.set("ops", n_ops)
+        sp.set("source_bytes", len(source))
         obs.inc("fasttimer.compiles")
 
     plan = TimedPlan(
@@ -268,7 +251,6 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
         n_ticks=n_ticks,
         n_ops=n_ops,
         kernel=namespace["__fasttimer_eval"],  # type: ignore[arg-type]
-        kernel_be=namespace["__fasttimer_eval_be"],  # type: ignore[arg-type]
     )
     quantum = Fraction(grid.quantum)
     st.put(fp, STORE_KIND, {
@@ -278,8 +260,6 @@ def compile_timed(circuit: Circuit) -> TimedPlan:
         "n_ops": n_ops,
         "kernel": artifact_store.code_blob(
             source, f"<fasttimer:{fp[:12]}>", code),
-        "kernel_be": artifact_store.code_blob(
-            source_be, f"<fasttimer-be:{fp[:12]}>", code_be),
     })
     circuit._fasttimer_plan = plan
     return plan
@@ -311,23 +291,24 @@ class BatchCounts:
     final_state: Dict[str, int]
 
 
-def _settled_words(plan: fastsim.CompiledCircuit, in_words: List[int],
-                   n: int, state: Optional[Dict[str, int]]) -> List[int]:
-    """Per-slot packed functional values over the whole batch."""
-    settled = [0] * plan.n_slots
-    for V, base, c, mask in fastsim._iter_chunks(plan, in_words, n, state):
-        for i in range(plan.n_slots):
-            w = V[i] & mask
-            if w:
-                settled[i] |= w << base
-    return settled
+def _settled_words(plan: fastsim.CompiledCircuit, in_words: List[object],
+                   n: int, state: Optional[Dict[str, int]],
+                   be: Backend = _BIGNUM) -> List[object]:
+    """Per-slot packed functional values over the whole batch.
 
-
-def _settled_words_backend(plan: fastsim.CompiledCircuit,
-                           in_words: List[object], n: int,
-                           state: Optional[Dict[str, int]],
-                           be: Backend) -> List[object]:
-    """:func:`_settled_words` on backend words (inputs pre-packed)."""
+    ``in_words`` must already be ``be`` words.  Bignum words keep their
+    own settle loop: per-latch backend calls made a 256-cycle
+    ``counter(6)`` event job ~1.5x slower through the iterator.
+    """
+    if be is _BIGNUM:
+        settled = [0] * plan.n_slots
+        for V, base, c, mask in fastsim._iter_chunks(plan, in_words, n,
+                                                     state):
+            for i in range(plan.n_slots):
+                w = V[i] & mask
+                if w:
+                    settled[i] |= w << base
+        return settled
     settled = [be.zeros(n) for _ in range(plan.n_slots)]
     for V, base, c, mask in fastsim._iter_chunks_backend(plan, in_words,
                                                          n, state, be):
@@ -336,6 +317,19 @@ def _settled_words_backend(plan: fastsim.CompiledCircuit,
             # bases stay 64-aligned, so the blit needs no re-mask.
             settled[i] = be.blit(settled[i], V[i], base)
     return settled
+
+
+def _boundary(func: fastsim.CompiledCircuit, settled: List[object], t: int,
+              get_bit: Callable[[object, int], int]
+              ) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Settled net values of lane ``t`` and the latch state it hands on."""
+    values = {net: get_bit(settled[i], t) for i, net in enumerate(func.nets)}
+    state: Dict[str, int] = {}
+    for lp, latch in zip(func.latches, func.circuit.latches):
+        hold = lp.enable_slot >= 0 and not get_bit(settled[lp.enable_slot], t)
+        state[latch.output] = get_bit(
+            settled[lp.out_slot if hold else lp.data_slot], t)
+    return values, state
 
 
 def timed_batch(circuit: Circuit, vectors: Stimulus,
@@ -353,23 +347,23 @@ def timed_batch(circuit: Circuit, vectors: Stimulus,
     ``toggles``/``glitches``, exactly like the reference engine's
     settling step.  ``backend`` selects the word representation
     (``None``/"bignum" for the native path, "numpy" for lane arrays);
-    counters are bit-identical either way.  A backend that cannot run
-    the batch (numpy missing, or a lane backend declining a
-    tight-feedback settle) degrades to the native path here, so
-    callers never see :class:`~repro.backend.core.BackendUnavailable`.
+    one body runs over the :class:`~repro.backend.core.Backend`
+    primitives, so counters are bit-identical either way.  A backend
+    that cannot run the batch (numpy missing, or a lane backend
+    declining a tight-feedback settle) degrades to bignum words here,
+    so callers never see
+    :class:`~repro.backend.core.BackendUnavailable`.
     """
+    plan = compile_timed(circuit)
+    func = plan.func
+    be = _BIGNUM
     if backend is not None:
         try:
             be = get_backend(backend)
-            if be.name != "bignum":
-                return _timed_batch_be(circuit, vectors, prev_values,
-                                       state, settling_first, be)
         except BackendUnavailable:
-            pass                  # fall through to the bignum path
-    plan = compile_timed(circuit)
-    func = plan.func
+            pass
     try:
-        in_words, n = fastsim._pack_inputs(circuit, vectors)
+        in_words, n = fastsim._pack_inputs_backend(circuit, vectors, be)
     except KeyError as exc:
         # The reference engine lets unspecified inputs hold their
         # previous value; the packed path cannot, so defer to it.
@@ -381,179 +375,75 @@ def timed_batch(circuit: Circuit, vectors: Stimulus,
         return BatchCounts(0, dict(empty), dict(empty), 0, 0, 0, 0,
                            dict(prev_values), dict(state or {}))
 
-    with obs.span("fasttimer.batch", circuit=circuit.name) as sp:
-        settled = _settled_words(func, in_words, n, state)
-        mask_n = (1 << n) - 1
-        start = [((settled[i] << 1)
-                  | (1 if prev_values[net] else 0)) & mask_n
-                 for i, net in enumerate(nets)]
-
+    with obs.span("fasttimer.batch", circuit=circuit.name,
+                  backend=be.name) as sp:
+        try:
+            settled = _settled_words(func, in_words, n, state, be)
+        except BackendUnavailable:
+            # A lane backend declined a tight-feedback settle.
+            be = _BIGNUM
+            sp.set("backend", be.name)
+            settled = _settled_words(
+                func, fastsim._pack_inputs(circuit, vectors)[0], n, state)
+        PC = _bit_count if be is _BIGNUM else be.popcount
+        carries = [1 if prev_values[net] else 0 for net in nets]
         n_slots = func.n_slots
         toggles = [0] * n_slots
         events = 0
         glitches = 0
-        lo = 1 if settling_first else 0
+        width = n - 1 if settling_first else n      # counted lanes
 
         if settling_first:
-            # Settling lane: events only, scratch toggle accumulators.
-            C0 = [w & 1 for w in start]
-            N0 = [w & 1 for w in settled]
-            events += plan.kernel(C0, N0, [0] * n_slots, 1)
-        if lo < n:
-            wmask = (1 << (n - lo)) - 1
-            C = [(w >> lo) & wmask for w in start]
-            N = [(w >> lo) & wmask for w in settled]
-            events += plan.kernel(C, N, toggles, wmask)
-            for i in range(n_slots):
-                boundary = ((settled[i] ^ start[i]) >> lo) & wmask
-                glitches += toggles[i] - boundary.bit_count()
+            # Settling lane: a single cycle on plain ints, scratch
+            # toggle accumulators that only feed the event count.
+            T0 = [0] * n_slots
+            plan.kernel(carries, [be.get_bit(w, 0) for w in settled], T0,
+                        1, _bit_count)
+            events += sum(T0)
+            # Counted lane k (cycle k + 1) starts from settled lane k.
+            C = [be.extract(w, 0, width) for w in settled]
+            N = [be.extract(w, 1, width) for w in settled]
+        else:
+            # Lane k starts from lane k - 1's settled values, lane 0
+            # from the values before the batch.
+            C = [be.shift_in_time(w, n, c)
+                 for w, c in zip(settled, carries)]
+            N = settled
+        if width:
+            # One toggle per lane whose settled value changed; every
+            # other applied change is a glitch.
+            settled_changes = sum(PC(c ^ v) for c, v in zip(C, N))
+            plan.kernel(C, N, toggles, be.ones_mask(width), PC)
+            counted = sum(toggles)
+            events += counted
+            glitches = counted - settled_changes
 
-        ones = [(settled[i] & mask_n).bit_count() for i in range(n_slots)]
+        # Settled words leave the chunk iterators masked to n bits.
+        ones = [PC(w) for w in settled]
 
-        plain = 0
-        edges_lo = 0
-        edges_last = 0
-        for lp, latch in zip(func.latches, circuit.latches):
-            if not lp.clocked:
-                continue
-            if lp.enable_slot < 0:
-                plain += 1
-            else:
+        edges_lo = edges_last = 0
+        lowmask = be.low_mask(n - 1, n)
+        for lp in func.latches:
+            if lp.clocked and lp.enable_slot < 0:
+                edges_lo += n - 1
+                edges_last += 1
+            elif lp.clocked:
                 e = settled[lp.enable_slot]
-                edges_lo += (e & (mask_n >> 1)).bit_count()
-                edges_last += (e >> (n - 1)) & 1
-        edges_lo += plain * (n - 1)
-        edges_last += plain
+                edges_lo += PC(e & lowmask)
+                edges_last += be.get_bit(e, n - 1)
 
-        last = n - 1
-        final_values = {net: (settled[i] >> last) & 1
-                        for i, net in enumerate(nets)}
-        final_state: Dict[str, int] = {}
-        for lp, latch in zip(func.latches, circuit.latches):
-            if lp.enable_slot >= 0 \
-                    and not (settled[lp.enable_slot] >> last) & 1:
-                final_state[latch.output] = (settled[lp.out_slot]
-                                             >> last) & 1
-            else:
-                final_state[latch.output] = (settled[lp.data_slot]
-                                             >> last) & 1
+        final_values, final_state = _boundary(func, settled, n - 1,
+                                              be.get_bit)
 
         sp.add("lanes", n)
         sp.set("ops", plan.n_ops)
     if obs.enabled():
         obs.inc("fasttimer.lanes", n)
+        if be is not _BIGNUM:
+            obs.inc(f"fasttimer.backend.{be.name}", n)
         if sp.duration > 0:
             # Packed-word throughput: kernel ops times lanes per wall
             # second — the engine's native work unit.
-            obs.gauge("fasttimer.words_per_s",
-                      round(plan.n_ops * n / sp.duration, 1))
-
-    return BatchCounts(
-        n=n,
-        toggles=dict(zip(nets, toggles)),
-        ones=dict(zip(nets, ones)),
-        events=events,
-        glitches=glitches,
-        latch_edges_lo=edges_lo,
-        latch_edges_last=edges_last,
-        final_values=final_values,
-        final_state=final_state,
-    )
-
-
-def _timed_batch_be(circuit: Circuit, vectors: Stimulus,
-                    prev_values: Dict[str, int],
-                    state: Optional[Dict[str, int]],
-                    settling_first: bool, be: Backend) -> BatchCounts:
-    """:func:`timed_batch` on backend lane words.
-
-    Mirrors the bignum body operation for operation; every popcount,
-    shift and bit probe goes through ``be`` so the counters come out
-    bit-identical.  The settling lane still runs the scalar bignum
-    kernel — it is a single cycle, and ``be.get_bit`` reduces its
-    start/settled words to plain ints.
-    """
-    plan = compile_timed(circuit)
-    func = plan.func
-    try:
-        in_words, n = fastsim._pack_inputs_backend(circuit, vectors, be)
-    except KeyError as exc:
-        raise CompileError(f"stimulus missing input {exc}") from exc
-
-    nets = func.nets
-    empty = {net: 0 for net in nets}
-    if n == 0:
-        return BatchCounts(0, dict(empty), dict(empty), 0, 0, 0, 0,
-                           dict(prev_values), dict(state or {}))
-
-    with obs.span("fasttimer.batch", circuit=circuit.name,
-                  backend=be.name) as sp:
-        settled = _settled_words_backend(func, in_words, n, state, be)
-        start = [be.shift_in_time(settled[i], n,
-                                  1 if prev_values[net] else 0)
-                 for i, net in enumerate(nets)]
-
-        n_slots = func.n_slots
-        toggles = [0] * n_slots
-        events = 0
-        glitches = 0
-        lo = 1 if settling_first else 0
-
-        if settling_first:
-            # Settling lane: events only, scratch toggle accumulators.
-            C0 = [be.get_bit(w, 0) for w in start]
-            N0 = [be.get_bit(w, 0) for w in settled]
-            events += plan.kernel(C0, N0, [0] * n_slots, 1)
-        if lo < n:
-            wmask = be.ones_mask(n - lo)
-            C = [be.extract(w, lo, n - lo) for w in start]
-            N = [be.extract(w, lo, n - lo) for w in settled]
-            events += plan.kernel_be(C, N, toggles, wmask,
-                                     be.nonzero, be.popcount)
-            for i in range(n_slots):
-                boundary = be.extract(settled[i] ^ start[i], lo, n - lo)
-                glitches += toggles[i] - be.popcount(boundary)
-
-        # Settled words leave the chunk iterator masked to n bits.
-        ones = [be.popcount(settled[i]) for i in range(n_slots)]
-
-        plain = 0
-        edges_lo = 0
-        edges_last = 0
-        lowmask = None
-        for lp, latch in zip(func.latches, circuit.latches):
-            if not lp.clocked:
-                continue
-            if lp.enable_slot < 0:
-                plain += 1
-            else:
-                if lowmask is None:
-                    lowmask = be.low_mask(n - 1, n)
-                e = settled[lp.enable_slot]
-                edges_lo += be.popcount(e & lowmask)
-                edges_last += be.get_bit(e, n - 1)
-        edges_lo += plain * (n - 1)
-        edges_last += plain
-
-        last = n - 1
-        final_values = {net: be.get_bit(settled[i], last)
-                        for i, net in enumerate(nets)}
-        final_state: Dict[str, int] = {}
-        for lp, latch in zip(func.latches, circuit.latches):
-            if lp.enable_slot >= 0 \
-                    and not be.get_bit(settled[lp.enable_slot], last):
-                final_state[latch.output] = be.get_bit(
-                    settled[lp.out_slot], last)
-            else:
-                final_state[latch.output] = be.get_bit(
-                    settled[lp.data_slot], last)
-
-        sp.add("lanes", n)
-        sp.set("ops", plan.n_ops)
-    if obs.enabled():
-        obs.inc("fasttimer.lanes", n)
-        obs.inc(f"fasttimer.backend.{be.name}", n)
-        if sp.duration > 0:
             obs.gauge("fasttimer.words_per_s",
                       round(plan.n_ops * n / sp.duration, 1))
 
@@ -651,18 +541,8 @@ def timed_activity(circuit: Circuit, vectors: Stimulus,
             if lo == 0:
                 prev, st = reset_values, reset_state
             else:
-                prev = {net: (settled[i] >> (lo - 1)) & 1
-                        for i, net in enumerate(nets)}
-                st = {}
-                for lp, latch in zip(func.latches, circuit.latches):
-                    if lp.enable_slot >= 0 \
-                            and not (settled[lp.enable_slot]
-                                     >> (lo - 1)) & 1:
-                        st[latch.output] = (settled[lp.out_slot]
-                                            >> (lo - 1)) & 1
-                    else:
-                        st[latch.output] = (settled[lp.data_slot]
-                                            >> (lo - 1)) & 1
+                prev, st = _boundary(func, settled, lo - 1,
+                                     _BIGNUM.get_bit)
             jobs.append((circuit, _shard_slice(vectors, lo, hi),
                          prev, st, lo == 0, shard_backend))
 

@@ -11,6 +11,8 @@ clock-edge convention shared with the zero-delay engine.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -19,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 from repro.logic import fasttimer, gates as gatelib
 from repro.logic.eventsim import EventSimulator, tick_grid
 from repro.logic.fastsim import random_packed_vectors
-from repro.logic.generators import chained_adder_tree, ripple_carry_adder
+from repro.logic.generators import array_multiplier, chained_adder_tree, \
+    counter, ripple_carry_adder
 from repro.logic.netlist import Circuit
 from repro.logic.simulate import ActivityReport, collect_activity, \
-    random_vectors
+    random_vectors, evaluate
 
 
 def random_latched_circuit(n_inputs: int, n_gates: int, n_latches: int,
@@ -170,6 +173,104 @@ class TestEngineEquivalence:
         assert_timed_identical(fast, ref)
 
 
+def _digest(counts) -> str:
+    """Short content hash of a per-net counter dict."""
+    blob = json.dumps(sorted(counts.items())).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+class TestGoldenTimedCounts:
+    """Pinned timed counters: a settling-first run, then a second run
+    accumulated on the same simulator, on both compiled engines.
+
+    The values were captured from the engines before their kernels
+    were rewritten and agree with the reference engine; any change to
+    the tick-wheel lowering must reproduce them bit for bit.
+    """
+
+    MULT6 = [
+        dict(cycles=1000, events=229560, glitches=166212,
+             toggles_sum=229424, ones_sum=47686,
+             toggles="ce17ed670432558a", ones="24e8d82de1ea2b41"),
+        dict(cycles=2048, events=484547, glitches=352614,
+             toggles_sum=484411, ones_sum=100453,
+             toggles="a130001b1eafa700", ones="b6a50243e37b908b"),
+    ]
+
+    COUNTER4 = [
+        dict(cycles=120, events=718, glitches=270,
+             toggles={"en": 50, "q0": 72, "q1": 36, "q2": 18, "q3": 9,
+                      "n0_xor2": 72, "n1_and2": 72, "n3_xor2": 108,
+                      "n4_and2": 72, "n6_xor2": 90, "n7_and2": 54,
+                      "n9_xor2": 63},
+             ones={"en": 73, "q0": 57, "q1": 60, "q2": 69, "q3": 55,
+                   "n0_xor2": 58, "n1_and2": 36, "n3_xor2": 60,
+                   "n4_and2": 18, "n6_xor2": 69, "n7_and2": 9,
+                   "n9_xor2": 56}),
+        dict(cycles=300, events=1626, glitches=600,
+             toggles={"en": 144, "q0": 160, "q1": 80, "q2": 40, "q3": 20,
+                      "n0_xor2": 160, "n1_and2": 160, "n3_xor2": 240,
+                      "n4_and2": 160, "n6_xor2": 200, "n7_and2": 120,
+                      "n9_xor2": 140},
+             ones={"en": 161, "q0": 152, "q1": 159, "q2": 169, "q3": 153,
+                   "n0_xor2": 153, "n1_and2": 80, "n3_xor2": 159,
+                   "n4_and2": 40, "n6_xor2": 169, "n7_and2": 20,
+                   "n9_xor2": 153}),
+    ]
+
+    @pytest.mark.parametrize("engine", ["fast", "numpy"])
+    def test_array_multiplier_golden(self, engine):
+        circuit = array_multiplier(6)
+        packed = random_packed_vectors(circuit.inputs, 2048, seed=15)
+        first = fasttimer._shard_slice(packed, 0, 1000)
+        second = fasttimer._shard_slice(packed, 1000, 2048)
+        sim = EventSimulator(circuit, engine=engine)
+        for golden, part in zip(self.MULT6, (first, second)):
+            report = sim.run(part)
+            assert dict(
+                cycles=report.cycles, events=report.events,
+                glitches=report.glitches,
+                toggles_sum=sum(report.toggles.values()),
+                ones_sum=sum(report.ones.values()),
+                toggles=_digest(report.toggles),
+                ones=_digest(report.ones)) == golden
+
+    @pytest.mark.parametrize("engine", ["fast", "numpy"])
+    def test_counter_golden(self, engine):
+        circuit = counter(4)
+        vectors = random_vectors(circuit.inputs, 300, seed=16)
+        sim = EventSimulator(circuit, engine=engine)
+        for golden, part in zip(self.COUNTER4,
+                                (vectors[:120], vectors[120:])):
+            report = sim.run(part)
+            assert dict(cycles=report.cycles, events=report.events,
+                        glitches=report.glitches, toggles=report.toggles,
+                        ones=report.ones) == golden
+
+
+class TestBatchInvariants:
+    @settings(deadline=None, max_examples=25)
+    @given(n_inputs=st.integers(2, 6), n_gates=st.integers(1, 40),
+           n_latches=st.integers(0, 4), seed=st.integers(0, 10_000),
+           n_vectors=st.integers(1, 40),
+           backend=st.sampled_from([None, "numpy"]))
+    def test_events_are_sum_of_toggles(self, n_inputs, n_gates, n_latches,
+                                       seed, n_vectors, backend):
+        """Without a settling lane every applied change is a counted
+        toggle, so events equal the toggle total exactly."""
+        circuit = random_latched_circuit(n_inputs, n_gates, n_latches,
+                                         seed)
+        vectors = random_vectors(circuit.inputs, n_vectors,
+                                 seed=seed + 1)
+        state = {l.output: l.init for l in circuit.latches}
+        prev = evaluate(circuit, {n: 0 for n in circuit.inputs}, state)
+        counts = fasttimer.timed_batch(circuit, vectors, prev, state,
+                                       settling_first=False,
+                                       backend=backend)
+        assert counts.n == n_vectors
+        assert counts.events == sum(counts.toggles.values())
+
+
 class TestSettlingNormalization:
     """Satellite: pin the settling-cycle conventions in both engines."""
 
@@ -258,3 +359,88 @@ class TestPlanCache:
         assert_timed_identical(
             EventSimulator(clone, engine="fast").run(vectors),
             EventSimulator(circuit, engine="reference").run(vectors))
+
+
+class TestStoreLayout:
+    def test_legacy_store_entry_is_not_rehydrated(self, tmp_path):
+        """A timed plan written under the old kind (4-argument kernel
+        plus a ``kernel_be`` blob) must be invisible: the engine
+        recompiles instead of calling a kernel with the wrong
+        signature."""
+        from repro import store as artifact_store
+        from repro.logic import fastsim
+
+        circuit = ripple_carry_adder(4)
+        legacy = artifact_store.ArtifactStore(root=tmp_path)
+        source = "def __fasttimer_eval(C, N, T, M):\n    return 0\n"
+        source_be = ("def __fasttimer_eval_be(C, N, T, M, ANY, PC):\n"
+                     "    return 0\n")
+        legacy.put(circuit.fingerprint(), "fasttimer", {
+            "nets": fastsim.compile_circuit(circuit).nets,
+            "quantum": [1, 5],
+            "n_ticks": 1,
+            "n_ops": 1,
+            "kernel": artifact_store.code_blob(source, "<legacy>"),
+            "kernel_be": artifact_store.code_blob(source_be, "<legacy>"),
+        })
+        prev = artifact_store.set_store(
+            artifact_store.ArtifactStore(root=tmp_path))
+        try:
+            fresh = ripple_carry_adder(4)
+            vectors = random_vectors(fresh.inputs, 40, seed=3)
+            fast = EventSimulator(fresh, engine="fast").run(vectors)
+            ref = EventSimulator(circuit, engine="reference").run(vectors)
+            assert_timed_identical(fast, ref)
+            assert fresh._fasttimer_plan.kernel.__code__.co_argcount == 5
+        finally:
+            artifact_store.set_store(prev)
+
+
+class TestObservability:
+    @pytest.fixture(autouse=True)
+    def traced(self):
+        from repro import obs
+
+        obs.disable()
+        obs.reset()
+        obs.enable()
+        yield obs
+        obs.disable()
+        obs.reset()
+
+    def test_compile_fallback_is_counted(self, traced):
+        circuit = array_multiplier(10)       # schedule exceeds _MAX_OPS
+        with pytest.raises(fasttimer.CompileError):
+            fasttimer.compile_timed(circuit)
+        vectors = random_vectors(circuit.inputs, 4, seed=8)
+        traced.reset()
+        fast = EventSimulator(circuit, engine="fast").run(vectors)
+        assert traced.registry.counter(
+            "eventsim.fallbacks.compile_error") == 1
+        (run,) = traced.finished_spans()
+        assert run.name == "eventsim.run"
+        assert run.attributes["engine"] == "fast"
+        assert run.attributes["resolved"] == "reference"
+        assert run.attributes["fallback"] == "compile_error"
+        ref = EventSimulator(circuit, engine="reference").run(vectors)
+        assert_timed_identical(fast, ref)
+
+    def test_compile_span_records_source_bytes(self, traced):
+        from repro import store as artifact_store
+
+        circuit = ripple_carry_adder(5)
+        vectors = random_vectors(circuit.inputs, 16, seed=9)
+        st = artifact_store.ArtifactStore(root=None)   # force a compile
+        prev = artifact_store.set_store(st)
+        try:
+            EventSimulator(circuit, engine="fast").run(vectors)
+        finally:
+            artifact_store.set_store(prev)
+        (run,) = traced.finished_spans()
+        assert run.attributes["resolved"] == "fast"
+        assert "fallback" not in run.attributes
+        (compiled,) = [c for c in run.children
+                       if c.name == "fasttimer.compile"]
+        payload = st.get(circuit.fingerprint(), fasttimer.STORE_KIND)
+        assert compiled.attributes["source_bytes"] \
+            == len(payload["kernel"]["source"]) > 0
